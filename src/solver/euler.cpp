@@ -176,17 +176,19 @@ void EulerSolver::flux_face(index_t f, double dtf) {
                  u_.at(4, a)};
   const Vec3 n = mesh_.face_normal(f);
   // Access annotations for the race verifier (no-ops when no
-  // TaskRecordScope is active): a face flux reads both adjacent cell
-  // states and writes both accumulator sides of its face.
+  // TaskRecordScope is active): a face flux reads its adjacent cell
+  // states and writes the accumulator side of each adjacent cell — side 0
+  // only at a boundary face (layout.hpp's boundary-face contract).
   verify::record_read(verify::ObjectKind::cell_state, a);
   verify::record_write(verify::ObjectKind::face_acc_side0, f);
-  verify::record_write(verify::ObjectKind::face_acc_side1, f);
+  const bool boundary = mesh_.is_boundary_face(f);
   State flux;
-  if (mesh_.is_boundary_face(f)) {
+  if (boundary) {
     flux = wall_flux(ua, n);
   } else {
     const index_t b = mesh_.face_cell(f, 1);
     verify::record_read(verify::ObjectKind::cell_state, b);
+    verify::record_write(verify::ObjectKind::face_acc_side1, f);
     const State ub{u_.at(0, b), u_.at(1, b), u_.at(2, b), u_.at(3, b),
                    u_.at(4, b)};
     flux = interior_flux(ua, ub, n);
@@ -195,7 +197,7 @@ void EulerSolver::flux_face(index_t f, double dtf) {
   for (int v = 0; v < kNumVars; ++v) {
     const double amount = flux[static_cast<std::size_t>(v)] * scale;
     acc_.var(acc_col(0, v))[sf] += amount;
-    acc_.var(acc_col(1, v))[sf] += amount;
+    if (!boundary) acc_.var(acc_col(1, v))[sf] += amount;
   }
 }
 
@@ -255,35 +257,11 @@ runtime::TaskBody EulerSolver::make_iteration_body(
       build_class_access_ranges(mesh_, *classes));
 
   // Per-task execution plan, self-contained so the body outlives both the
-  // caller's structs and the graph. A task whose class list is one
-  // contiguous id run carries the run and streams it; scattered classes
-  // keep the per-object list walk.
-  struct Plan {
-    double dt;
-    index_t cls;
-    bool face;
-    bool ranged;
-    index_t begin, mid, end;  ///< faces: [begin,mid) interior, [mid,end) boundary
-  };
-  auto plans = std::make_shared<std::vector<Plan>>();
-  plans->reserve(static_cast<std::size_t>(graph.num_tasks()));
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const taskgraph::Task& task = graph.task(t);
-    const index_t cls = classes->task_class[static_cast<std::size_t>(t)];
-    Plan plan{dt0_ * std::exp2(static_cast<double>(task.level)), cls,
-              task.type == taskgraph::ObjectType::face, false, 0, 0, 0};
-    if (plan.face) {
-      const auto& r = classes->face_range[static_cast<std::size_t>(cls)];
-      if (r.valid())
-        plan = {plan.dt, cls, true, true, r.begin, r.boundary_begin, r.end};
-    } else {
-      const auto& r = classes->cell_range[static_cast<std::size_t>(cls)];
-      if (r.valid()) plan = {plan.dt, cls, false, true, r.begin, r.end, r.end};
-    }
-    plans->push_back(plan);
-  }
+  // caller's structs and the graph.
+  auto plans = std::make_shared<const std::vector<TaskPlan>>(
+      build_task_plans(graph, *classes, dt0_));
   auto body = [this, classes, plans, access](index_t t) {
-    const Plan& plan = (*plans)[static_cast<std::size_t>(t)];
+    const TaskPlan& plan = (*plans)[static_cast<std::size_t>(t)];
     const auto scls = static_cast<std::size_t>(plan.cls);
     if (plan.face) {
       if (plan.ranged) {

@@ -1,6 +1,7 @@
 #include "solver/layout.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "taskgraph/generate.hpp"
@@ -124,6 +125,29 @@ ClassAccessTable build_class_access_ranges(
     }
   }
   return table;
+}
+
+std::vector<TaskPlan> build_task_plans(const taskgraph::TaskGraph& graph,
+                                       const taskgraph::ClassMap& classes,
+                                       double dt0) {
+  std::vector<TaskPlan> plans;
+  plans.reserve(static_cast<std::size_t>(graph.num_tasks()));
+  for (index_t t = 0; t < graph.num_tasks(); ++t) {
+    const taskgraph::Task& task = graph.task(t);
+    const index_t cls = classes.task_class[static_cast<std::size_t>(t)];
+    TaskPlan plan{dt0 * std::exp2(static_cast<double>(task.level)), cls,
+                  task.type == taskgraph::ObjectType::face, false, 0, 0, 0};
+    if (plan.face) {
+      const auto& r = classes.face_range[static_cast<std::size_t>(cls)];
+      if (r.valid())
+        plan = {plan.dt, cls, true, true, r.begin, r.boundary_begin, r.end};
+    } else {
+      const auto& r = classes.cell_range[static_cast<std::size_t>(cls)];
+      if (r.valid()) plan = {plan.dt, cls, false, true, r.begin, r.end, r.end};
+    }
+    plans.push_back(plan);
+  }
+  return plans;
 }
 
 void record_class_ranges(const ClassAccessRanges& ranges, bool face_task) {

@@ -31,6 +31,7 @@
 
 namespace tamp::taskgraph {
 struct ClassMap;
+class TaskGraph;
 }
 
 namespace tamp::solver {
@@ -116,10 +117,9 @@ struct KernelGeometry {
                                                    eindex_t side_offset);
 
 /// Boundary-face accumulator contract: a boundary face has no side-1
-/// cell, so nothing ever gathers its side-1 slot — a side-1 deposit
-/// there is inert. The streaming kernels of both solvers skip it; the
-/// per-object Euler flux_face still writes it (it is the seed-physics
-/// oracle) and records that write inline.
+/// cell, so nothing ever gathers its side-1 slot. Every flux kernel of
+/// both solvers, per-object and streaming, deposits into side 0 only
+/// there and records no side-1 write.
 
 /// Nominal main-memory traffic of the streaming kernels, in bytes per
 /// object update, for converting measured counter totals into bandwidth
@@ -187,6 +187,24 @@ struct ClassAccessTable {
 /// boundary-face contract above).
 [[nodiscard]] ClassAccessTable build_class_access_ranges(
     const mesh::Mesh& mesh, const taskgraph::ClassMap& classes);
+
+/// Execution plan of one task of an iteration body: its step dt0·2^τ,
+/// its class, and whether its class list is one contiguous id run that
+/// the streaming kernels sweep — faces [begin, mid) interior and
+/// [mid, end) boundary, cells [begin, end). A scattered class walks its
+/// ClassMap list instead.
+struct TaskPlan {
+  double dt;
+  index_t cls;
+  bool face;
+  bool ranged;
+  index_t begin, mid, end;
+};
+
+/// One plan per task of `graph`, in task order.
+[[nodiscard]] std::vector<TaskPlan> build_task_plans(
+    const taskgraph::TaskGraph& graph, const taskgraph::ClassMap& classes,
+    double dt0);
 
 /// Record one ranged task's precomputed accesses into the active
 /// verify::TaskRecordScope: `cells` as reads for a face task and as

@@ -205,34 +205,10 @@ runtime::TaskBody TransportSolver::make_iteration_body(
   TAMP_EXPECTS(classes != nullptr, "iteration body needs a class map");
   auto access = std::make_shared<ClassAccessTable>(
       build_class_access_ranges(mesh_, *classes));
-  // Same ranged-vs-scattered plan split as the Euler solver (see
-  // euler.cpp): contiguous class lists stream, the rest walk the list.
-  struct Plan {
-    double dt;
-    index_t cls;
-    bool face;
-    bool ranged;
-    index_t begin, mid, end;
-  };
-  auto plans = std::make_shared<std::vector<Plan>>();
-  plans->reserve(static_cast<std::size_t>(graph.num_tasks()));
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const taskgraph::Task& task = graph.task(t);
-    const index_t cls = classes->task_class[static_cast<std::size_t>(t)];
-    Plan plan{dt0_ * std::exp2(static_cast<double>(task.level)), cls,
-              task.type == taskgraph::ObjectType::face, false, 0, 0, 0};
-    if (plan.face) {
-      const auto& r = classes->face_range[static_cast<std::size_t>(cls)];
-      if (r.valid())
-        plan = {plan.dt, cls, true, true, r.begin, r.boundary_begin, r.end};
-    } else {
-      const auto& r = classes->cell_range[static_cast<std::size_t>(cls)];
-      if (r.valid()) plan = {plan.dt, cls, false, true, r.begin, r.end, r.end};
-    }
-    plans->push_back(plan);
-  }
+  auto plans = std::make_shared<const std::vector<TaskPlan>>(
+      build_task_plans(graph, *classes, dt0_));
   auto body = [this, classes, plans, access](index_t t) {
-    const Plan& plan = (*plans)[static_cast<std::size_t>(t)];
+    const TaskPlan& plan = (*plans)[static_cast<std::size_t>(t)];
     const auto scls = static_cast<std::size_t>(plan.cls);
     if (plan.face) {
       if (plan.ranged) {

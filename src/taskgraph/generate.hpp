@@ -21,9 +21,11 @@
 // neighbours before entering the next one).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "mesh/mesh.hpp"
+#include "taskgraph/class_indexer.hpp"
 #include "taskgraph/scheme.hpp"
 #include "taskgraph/taskgraph.hpp"
 
@@ -87,6 +89,46 @@ TaskGraph generate_task_graph(const mesh::Mesh& mesh,
                               part_t ndomains,
                               const GenerateOptions& opts = {},
                               ClassMap* class_map = nullptr);
+
+// --- Algorithm 1, step by step ------------------------------------------------
+// generate_task_graph runs these from scratch; GraphPatcher
+// (taskgraph/patch.hpp) keeps their inputs up to date incrementally and
+// reruns them only where needed. Classification is class_indexer.hpp.
+
+/// Objects per class, from the per-object class ids.
+[[nodiscard]] std::vector<index_t> class_populations(
+    const std::vector<index_t>& object_class, index_t nclasses);
+
+/// Fill `classes.class_cells` / `class_faces` (ascending ids) and every
+/// class's contiguity ranges.
+void build_class_lists(const mesh::Mesh& mesh, const ObjectClasses& oc,
+                       index_t nclasses, ClassMap& classes);
+
+/// Recompute class k's cell and face range from its (sorted) lists: a
+/// valid range when the list is one consecutive id run, faces
+/// additionally with every interior face before every boundary face.
+void detect_class_ranges(const mesh::Mesh& mesh, ClassMap& classes, index_t k);
+
+/// Class adjacency as CSR: face class → adjacent cell classes, and the
+/// transpose.
+struct ClassAdjacency {
+  std::vector<eindex_t> f2c_xadj, c2f_xadj;
+  std::vector<index_t> f2c, c2f;
+};
+
+/// Build the adjacency from sorted, deduplicated pack_class_pair keys.
+[[nodiscard]] ClassAdjacency build_class_adjacency(
+    const std::vector<std::uint64_t>& pairs, index_t nclasses);
+
+/// Algorithm 1's emission loop over the per-class populations and the
+/// adjacency. When `task_class` is non-null it receives each task's
+/// class id.
+[[nodiscard]] TaskGraph emit_task_graph(ClassIndexer cls,
+                                        const std::vector<index_t>& cell_count,
+                                        const std::vector<index_t>& face_count,
+                                        const ClassAdjacency& adj,
+                                        const GenerateOptions& opts,
+                                        std::vector<index_t>* task_class);
 
 /// Per-subiteration aggregate workload (work units), schedule-independent:
 /// the paper's observation that subiterations inject very different

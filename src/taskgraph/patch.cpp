@@ -7,17 +7,10 @@
 #include "obs/trace.hpp"
 #include "support/check.hpp"
 #include "support/hash.hpp"
-#include "taskgraph/class_indexer.hpp"
-#include "taskgraph/scheme.hpp"
 
 namespace tamp::taskgraph {
 
 namespace {
-
-constexpr std::uint64_t pack_pair(index_t face_cls, index_t cell_cls) {
-  return static_cast<std::uint64_t>(face_cls) << 32 |
-         static_cast<std::uint32_t>(cell_cls);
-}
 
 /// Remove one value from a sorted id list (must be present).
 void sorted_erase(std::vector<index_t>& v, index_t x) {
@@ -42,7 +35,7 @@ GraphPatcher::GraphPatcher(const mesh::Mesh& mesh,
 GraphPatcher::GraphPatcher(const mesh::Mesh& mesh,
                            std::vector<part_t> domain_of_cell,
                            part_t ndomains, Options opts)
-    : opts_(opts), ndomains_(ndomains), domains_(std::move(domain_of_cell)) {
+    : opts_(opts), cls_{ndomains, 0}, domains_(std::move(domain_of_cell)) {
   TAMP_EXPECTS(ndomains >= 1, "need at least one domain");
   TAMP_EXPECTS(domains_.size() == static_cast<std::size_t>(mesh.num_cells()),
                "domain vector size must equal cell count");
@@ -51,57 +44,32 @@ GraphPatcher::GraphPatcher(const mesh::Mesh& mesh,
 
 void GraphPatcher::rebuild(const mesh::Mesh& mesh, const char* reason) {
   TAMP_TRACE_SCOPE("taskgraph/patch/rebuild");
-  // The graph and ClassMap come from the generator itself, so the
-  // rebuild path is bit-identical to a direct generate_task_graph call
-  // by construction; only the diff aggregates are derived here.
-  graph_ = generate_task_graph(mesh, domains_, ndomains_, opts_.generate,
-                               &classes_);
-  derive_aggregates(mesh);
+  // One classification pass feeds the class lists, the populations and
+  // the pair multiset; the generator's own steps turn them into the graph.
+  cls_.nlev = static_cast<level_t>(mesh.max_level() + 1);
+  levels_ = mesh.cell_levels();
+  ObjectClasses oc = classify(Classifier{mesh, domains_, cls_});
+  build_class_lists(mesh, oc, cls_.count(), classes_);
+  cell_count_ = class_populations(oc.cell, cls_.count());
+  face_count_ = class_populations(oc.face, cls_.count());
+  pair_count_.clear();
+  for (index_t f = 0; f < mesh.num_faces(); ++f)
+    for_each_class_pair(mesh, oc.cell, f, oc.face[static_cast<std::size_t>(f)],
+                        [&](std::uint64_t p) { ++pair_count_[p]; });
+  cell_class_ = std::move(oc.cell);
+  face_class_ = std::move(oc.face);
+  pair_set_changed_ = true;
+  refresh_adjacency();
+  emit();
+  dirty_classes_.assign(static_cast<std::size_t>(cls_.count()), 0);
   stats_.patched = false;
   stats_.rebuild_reason = reason == nullptr ? "initial build" : reason;
   dirty_tasks_.assign(static_cast<std::size_t>(graph_.num_tasks()), 1);
   TAMP_METRIC_COUNT("taskgraph.patch.rebuilds", 1);
 }
 
-void GraphPatcher::derive_aggregates(const mesh::Mesh& mesh) {
-  const index_t ncells = mesh.num_cells();
-  const index_t nfaces = mesh.num_faces();
-  nlev_ = static_cast<level_t>(mesh.max_level() + 1);
-  levels_ = mesh.cell_levels();
-
-  const Classifier cf{mesh, domains_, ClassIndexer{ndomains_, nlev_}};
-  const auto nclasses = static_cast<std::size_t>(cf.cls.count());
-
-  cell_class_.resize(static_cast<std::size_t>(ncells));
-  face_class_.resize(static_cast<std::size_t>(nfaces));
-  cell_count_.assign(nclasses, 0);
-  face_count_.assign(nclasses, 0);
-  for (index_t c = 0; c < ncells; ++c) {
-    const index_t k = cf.cell_class(c);
-    cell_class_[static_cast<std::size_t>(c)] = k;
-    ++cell_count_[static_cast<std::size_t>(k)];
-  }
-  pair_count_.clear();
-  for (index_t f = 0; f < nfaces; ++f) {
-    const index_t k = cf.face_class(f);
-    face_class_[static_cast<std::size_t>(f)] = k;
-    ++face_count_[static_cast<std::size_t>(k)];
-    ++pair_count_[pack_pair(
-        k, cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 0))])];
-    if (!mesh.is_boundary_face(f))
-      ++pair_count_[pack_pair(
-          k, cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 1))])];
-  }
-  pair_set_changed_ = true;
-  refresh_adjacency();
-  dirty_classes_.assign(nclasses, 0);
-}
-
 void GraphPatcher::refresh_adjacency() {
   if (!pair_set_changed_) return;
-  const ClassIndexer cls{ndomains_, nlev_};
-  const auto nclasses = static_cast<std::size_t>(cls.count());
-
   // The deduplicated sorted pair list generate_task_graph derives from
   // its 2·F-element sort, reconstructed from the multiset keys instead.
   std::vector<std::uint64_t> pairs;
@@ -109,137 +77,13 @@ void GraphPatcher::refresh_adjacency() {
   for (const auto& [p, n] : pair_count_)
     if (n > 0) pairs.push_back(p);
   std::sort(pairs.begin(), pairs.end());
-
-  f2c_xadj_.assign(nclasses + 1, 0);
-  f2c_.resize(pairs.size());
-  for (const std::uint64_t p : pairs)
-    ++f2c_xadj_[static_cast<std::size_t>(p >> 32) + 1];
-  for (std::size_t i = 0; i < nclasses; ++i) f2c_xadj_[i + 1] += f2c_xadj_[i];
-  {
-    std::vector<eindex_t> cursor(f2c_xadj_.begin(), f2c_xadj_.end() - 1);
-    for (const std::uint64_t p : pairs)
-      f2c_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(p >> 32)]++)] =
-          static_cast<index_t>(p & 0xffffffffULL);
-  }
-  c2f_xadj_.assign(nclasses + 1, 0);
-  c2f_.resize(pairs.size());
-  for (const std::uint64_t p : pairs)
-    ++c2f_xadj_[static_cast<std::size_t>(p & 0xffffffffULL) + 1];
-  for (std::size_t i = 0; i < nclasses; ++i) c2f_xadj_[i + 1] += c2f_xadj_[i];
-  {
-    std::vector<eindex_t> cursor(c2f_xadj_.begin(), c2f_xadj_.end() - 1);
-    for (const std::uint64_t p : pairs)
-      c2f_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(p & 0xffffffffULL)]++)] =
-          static_cast<index_t>(p >> 32);
-  }
+  adjacency_ = build_class_adjacency(pairs, cls_.count());
   pair_set_changed_ = false;
 }
 
-void GraphPatcher::recompute_ranges(const mesh::Mesh& mesh, index_t k) {
-  // Verbatim mirror of generate_task_graph's contiguity detection.
-  const auto sk = static_cast<std::size_t>(k);
-  classes_.cell_range[sk] = {};
-  classes_.face_range[sk] = {};
-  const auto& cells = classes_.class_cells[sk];
-  if (!cells.empty() &&
-      cells.back() - cells.front() + 1 == static_cast<index_t>(cells.size()))
-    classes_.cell_range[sk] = {cells.front(), cells.back() + 1};
-  const auto& faces = classes_.class_faces[sk];
-  if (faces.empty() || faces.back() - faces.front() + 1 !=
-                           static_cast<index_t>(faces.size()))
-    return;
-  std::size_t ninterior = 0;
-  while (ninterior < faces.size() && !mesh.is_boundary_face(faces[ninterior]))
-    ++ninterior;
-  bool partitioned = true;
-  for (std::size_t i = ninterior; i < faces.size(); ++i)
-    partitioned &= mesh.is_boundary_face(faces[i]);
-  if (partitioned)
-    classes_.face_range[sk] = {faces.front(),
-                               faces.front() +
-                                   static_cast<index_t>(ninterior),
-                               faces.back() + 1};
-}
-
-void GraphPatcher::emit(const mesh::Mesh& mesh) {
-  static_cast<void>(mesh);
-  const ClassIndexer cls{ndomains_, nlev_};
-  const TemporalScheme scheme(nlev_);
-  const auto nclasses = static_cast<std::size_t>(cls.count());
-
-  scratch_tasks_.clear();
-  scratch_deps_.clear();
-  classes_.task_class.clear();
-  last_cell_writer_.assign(nclasses, invalid_index);
-  last_face_writer_.assign(nclasses, invalid_index);
-
-  // Algorithm 1, byte-for-byte the generator's emission loop, replayed
-  // over the incrementally-maintained aggregates.
-  auto emit_one = [&](index_t s, level_t tau, ObjectType type, part_t d,
-                      Locality loc) {
-    const index_t cid = cls.id(d, tau, loc);
-    const index_t count = type == ObjectType::face
-                              ? face_count_[static_cast<std::size_t>(cid)]
-                              : cell_count_[static_cast<std::size_t>(cid)];
-    if (count == 0) return;  // Algorithm 1 line 6: skip empty classes
-
-    Task task;
-    task.subiteration = s;
-    task.level = tau;
-    task.type = type;
-    task.locality = loc;
-    task.domain = d;
-    task.num_objects = count;
-    task.cost = static_cast<simtime_t>(count) *
-                (type == ObjectType::face ? opts_.generate.cost.face_unit
-                                          : opts_.generate.cost.cell_unit);
-    const auto tid = static_cast<index_t>(scratch_tasks_.size());
-
-    std::vector<index_t> dep;
-    if (type == ObjectType::face) {
-      if (last_face_writer_[static_cast<std::size_t>(cid)] != invalid_index)
-        dep.push_back(last_face_writer_[static_cast<std::size_t>(cid)]);
-      for (eindex_t i = f2c_xadj_[static_cast<std::size_t>(cid)];
-           i < f2c_xadj_[static_cast<std::size_t>(cid) + 1]; ++i) {
-        const index_t cc = f2c_[static_cast<std::size_t>(i)];
-        if (last_cell_writer_[static_cast<std::size_t>(cc)] != invalid_index)
-          dep.push_back(last_cell_writer_[static_cast<std::size_t>(cc)]);
-      }
-      last_face_writer_[static_cast<std::size_t>(cid)] = tid;
-    } else {
-      if (last_cell_writer_[static_cast<std::size_t>(cid)] != invalid_index)
-        dep.push_back(last_cell_writer_[static_cast<std::size_t>(cid)]);
-      for (eindex_t i = c2f_xadj_[static_cast<std::size_t>(cid)];
-           i < c2f_xadj_[static_cast<std::size_t>(cid) + 1]; ++i) {
-        const index_t fc = c2f_[static_cast<std::size_t>(i)];
-        if (last_face_writer_[static_cast<std::size_t>(fc)] != invalid_index)
-          dep.push_back(last_face_writer_[static_cast<std::size_t>(fc)]);
-      }
-      last_cell_writer_[static_cast<std::size_t>(cid)] = tid;
-    }
-    scratch_tasks_.push_back(task);
-    scratch_deps_.push_back(std::move(dep));
-    classes_.task_class.push_back(cid);
-  };
-
-  for (int iter = 0; iter < opts_.generate.num_iterations; ++iter) {
-    for (index_t s = 0; s < scheme.num_subiterations(); ++s) {
-      const level_t top = scheme.top_level(s);
-      for (level_t tau = top;; --tau) {  // descending phases
-        for (const ObjectType type : {ObjectType::face, ObjectType::cell}) {
-          for (part_t d = 0; d < ndomains_; ++d) {
-            emit_one(s, tau, type, d, Locality::external);
-            emit_one(s, tau, type, d, Locality::internal);
-          }
-        }
-        if (tau == 0) break;
-      }
-    }
-  }
-  graph_ = TaskGraph(std::move(scratch_tasks_), scratch_deps_);
-  scratch_tasks_.clear();
+void GraphPatcher::emit() {
+  graph_ = emit_task_graph(cls_, cell_count_, face_count_, adjacency_,
+                           opts_.generate, &classes_.task_class);
 }
 
 const PatchStats& GraphPatcher::apply(
@@ -254,7 +98,7 @@ const PatchStats& GraphPatcher::apply(
                "domain vector size must equal cell count");
 
   stats_ = {};
-  if (static_cast<level_t>(mesh.max_level() + 1) != nlev_) {
+  if (static_cast<level_t>(mesh.max_level() + 1) != cls_.nlev) {
     // The class id space itself changed; every cached class id is void.
     domains_ = domain_of_cell;
     rebuild(mesh, "temporal level count changed");
@@ -324,8 +168,8 @@ const PatchStats& GraphPatcher::apply(
       }
 
   // --- retract the dirty contributions (old classes) -----------------------
-  auto dec_pair = [&](index_t fc, index_t cc) {
-    const auto it = pair_count_.find(pack_pair(fc, cc));
+  auto dec_pair = [&](std::uint64_t p) {
+    const auto it = pair_count_.find(p);
     TAMP_ENSURE(it != pair_count_.end() && it->second > 0,
                 "patch bookkeeping lost an adjacency pair");
     if (--it->second == 0) {
@@ -333,55 +177,42 @@ const PatchStats& GraphPatcher::apply(
       pair_set_changed_ = true;
     }
   };
-  auto inc_pair = [&](index_t fc, index_t cc) {
-    if (++pair_count_[pack_pair(fc, cc)] == 1) pair_set_changed_ = true;
+  auto inc_pair = [&](std::uint64_t p) {
+    if (++pair_count_[p] == 1) pair_set_changed_ = true;
   };
-  for (const index_t f : dirty_faces) {
-    const index_t fc = face_class_[static_cast<std::size_t>(f)];
-    dec_pair(fc,
-             cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 0))]);
-    if (!mesh.is_boundary_face(f))
-      dec_pair(fc,
-               cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 1))]);
-  }
+  for (const index_t f : dirty_faces)
+    for_each_class_pair(mesh, cell_class_, f,
+                        face_class_[static_cast<std::size_t>(f)], dec_pair);
 
   // --- reclassify under the new (levels, domains) --------------------------
   domains_ = domain_of_cell;
   levels_ = mesh.cell_levels();
-  const Classifier cf{mesh, domains_, ClassIndexer{ndomains_, nlev_}};
+  const Classifier cf{mesh, domains_, cls_};
   std::fill(dirty_classes_.begin(), dirty_classes_.end(), char{0});
-  auto touch_class = [&](index_t k) {
-    dirty_classes_[static_cast<std::size_t>(k)] = 1;
+  // Move object x from its recorded class to new_k, keeping the
+  // population and the sorted class list in step.
+  auto reclassify = [&](index_t x, index_t new_k,
+                        std::vector<index_t>& object_class,
+                        std::vector<index_t>& count,
+                        std::vector<std::vector<index_t>>& lists) {
+    const index_t old_k = object_class[static_cast<std::size_t>(x)];
+    if (new_k == old_k) return;
+    --count[static_cast<std::size_t>(old_k)];
+    ++count[static_cast<std::size_t>(new_k)];
+    sorted_erase(lists[static_cast<std::size_t>(old_k)], x);
+    sorted_insert(lists[static_cast<std::size_t>(new_k)], x);
+    object_class[static_cast<std::size_t>(x)] = new_k;
+    dirty_classes_[static_cast<std::size_t>(old_k)] = 1;
+    dirty_classes_[static_cast<std::size_t>(new_k)] = 1;
   };
-  for (const index_t c : dirty_cells) {
-    const index_t old_k = cell_class_[static_cast<std::size_t>(c)];
-    const index_t new_k = cf.cell_class(c);
-    if (new_k == old_k) continue;
-    --cell_count_[static_cast<std::size_t>(old_k)];
-    ++cell_count_[static_cast<std::size_t>(new_k)];
-    sorted_erase(classes_.class_cells[static_cast<std::size_t>(old_k)], c);
-    sorted_insert(classes_.class_cells[static_cast<std::size_t>(new_k)], c);
-    cell_class_[static_cast<std::size_t>(c)] = new_k;
-    touch_class(old_k);
-    touch_class(new_k);
-  }
+  for (const index_t c : dirty_cells)
+    reclassify(c, cf.cell_class(c), cell_class_, cell_count_,
+               classes_.class_cells);
   for (const index_t f : dirty_faces) {
-    const index_t old_k = face_class_[static_cast<std::size_t>(f)];
-    const index_t new_k = cf.face_class(f);
-    if (new_k != old_k) {
-      --face_count_[static_cast<std::size_t>(old_k)];
-      ++face_count_[static_cast<std::size_t>(new_k)];
-      sorted_erase(classes_.class_faces[static_cast<std::size_t>(old_k)], f);
-      sorted_insert(classes_.class_faces[static_cast<std::size_t>(new_k)], f);
-      face_class_[static_cast<std::size_t>(f)] = new_k;
-      touch_class(old_k);
-      touch_class(new_k);
-    }
-    inc_pair(new_k,
-             cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 0))]);
-    if (!mesh.is_boundary_face(f))
-      inc_pair(new_k,
-               cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 1))]);
+    reclassify(f, cf.face_class(f), face_class_, face_count_,
+               classes_.class_faces);
+    for_each_class_pair(mesh, cell_class_, f,
+                        face_class_[static_cast<std::size_t>(f)], inc_pair);
   }
 
   // --- re-derive the graph from the patched aggregates ---------------------
@@ -390,9 +221,9 @@ const PatchStats& GraphPatcher::apply(
   for (std::size_t k = 0; k < dirty_classes_.size(); ++k)
     if (dirty_classes_[k] != 0) {
       ++ndirty_classes;
-      recompute_ranges(mesh, static_cast<index_t>(k));
+      detect_class_ranges(mesh, classes_, static_cast<index_t>(k));
     }
-  emit(mesh);
+  emit();
 
   // Dirty-task mask at class granularity: tasks of a changed class, plus
   // tasks class-adjacent to one (their dependency lists reference its
@@ -401,10 +232,11 @@ const PatchStats& GraphPatcher::apply(
   for (std::size_t k = 0; k < dirty_classes_.size(); ++k) {
     if (dirty_classes_[k] == 0) continue;
     region[k] = 1;
-    for (eindex_t i = f2c_xadj_[k]; i < f2c_xadj_[k + 1]; ++i)
-      region[static_cast<std::size_t>(f2c_[static_cast<std::size_t>(i)])] = 1;
-    for (eindex_t i = c2f_xadj_[k]; i < c2f_xadj_[k + 1]; ++i)
-      region[static_cast<std::size_t>(c2f_[static_cast<std::size_t>(i)])] = 1;
+    const ClassAdjacency& a = adjacency_;
+    for (eindex_t i = a.f2c_xadj[k]; i < a.f2c_xadj[k + 1]; ++i)
+      region[static_cast<std::size_t>(a.f2c[static_cast<std::size_t>(i)])] = 1;
+    for (eindex_t i = a.c2f_xadj[k]; i < a.c2f_xadj[k + 1]; ++i)
+      region[static_cast<std::size_t>(a.c2f[static_cast<std::size_t>(i)])] = 1;
   }
   dirty_tasks_.assign(static_cast<std::size_t>(graph_.num_tasks()), 0);
   for (index_t t = 0; t < graph_.num_tasks(); ++t)
@@ -459,7 +291,7 @@ std::uint64_t GraphPatcher::fingerprint() const {
 void GraphPatcher::run_oracle(const mesh::Mesh& mesh) const {
   TAMP_TRACE_SCOPE("taskgraph/patch/oracle");
   ClassMap rebuilt_map;
-  const TaskGraph rebuilt = generate_task_graph(mesh, domains_, ndomains_,
+  const TaskGraph rebuilt = generate_task_graph(mesh, domains_, cls_.ndomains,
                                                 opts_.generate, &rebuilt_map);
   if (fingerprint(rebuilt, rebuilt_map) != fingerprint(graph_, classes_))
     throw invariant_error(

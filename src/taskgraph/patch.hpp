@@ -3,9 +3,8 @@
 // rebuilding the whole DAG every iteration wastes almost all of its
 // cost).
 //
-// The key structural fact (proved by the property tests and enforced at
-// runtime by the equivalence oracle): Algorithm 1's output is a pure
-// function of three per-class aggregates —
+// Algorithm 1's output is a pure function of three per-class aggregates
+// (enforced at runtime by the equivalence oracle) —
 //
 //   * per-class cell populations,
 //   * per-class face populations,
@@ -14,13 +13,16 @@
 // plus the fixed emission order. GraphPatcher maintains those aggregates
 // incrementally from the dirty cell/face set (cells whose level or
 // domain changed, their domain-flip neighbours, and incident faces) and
-// re-emits the task/dependency arrays from them. The O(cells + faces)
-// classification, the 2·F-element pair sort and the per-class object
-// list rebuilds — the dominant costs of generate_task_graph — are all
-// replaced by O(dirty) updates; only the O(tasks + deps) emission loop
-// (a few thousand slots) reruns. The result is bit-identical to a
-// from-scratch rebuild: same task order, same fields, same dependency
-// CSR, same ClassMap lists and ranges.
+// feeds them to the generator's own steps (taskgraph/generate.hpp): the
+// adjacency builder when the distinct pair set changes, the range
+// detection for each class whose lists changed, and the emission loop.
+// The O(cells + faces) classification, the 2·F-element pair sort and the
+// per-class object list rebuilds — the dominant costs of
+// generate_task_graph — are all replaced by O(dirty) updates; only the
+// O(tasks + deps) emission (a few thousand slots) reruns. Sharing those
+// steps keeps the result bit-identical to a from-scratch rebuild: same
+// task order, same fields, same dependency CSR, same ClassMap lists and
+// ranges.
 //
 // Safety net layers, outermost first:
 //   1. the pipeline's IterationSnapshot fingerprint (support/hash.hpp)
@@ -33,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -57,8 +58,9 @@ struct PatchStats {
 
 /// Incrementally-maintained task graph over one evolving mesh.
 ///
-/// Construction runs generate_task_graph once and snapshots the class
-/// aggregates; each apply() diffs the new (levels, domains) against the
+/// Construction (and every full-rebuild fallback) classifies the mesh
+/// once and derives the class lists, the aggregates and the graph from
+/// that one pass; each apply() diffs the new (levels, domains) against the
 /// stored ones and patches. The mesh topology (cells, faces, adjacency)
 /// must not change across applies — only temporal levels and the domain
 /// assignment may. Not thread-safe: one patcher belongs to one prep
@@ -117,15 +119,12 @@ public:
 
 private:
   void rebuild(const mesh::Mesh& mesh, const char* reason);
-  void derive_aggregates(const mesh::Mesh& mesh);
-  void emit(const mesh::Mesh& mesh);
   void refresh_adjacency();
-  void recompute_ranges(const mesh::Mesh& mesh, index_t cls);
+  void emit();
   void run_oracle(const mesh::Mesh& mesh) const;
 
   Options opts_;
-  part_t ndomains_ = 0;
-  level_t nlev_ = 0;
+  ClassIndexer cls_;  ///< nlev follows the mesh's current level count
 
   // Mirrors of the inputs the classification depends on.
   std::vector<part_t> domains_;
@@ -142,21 +141,15 @@ private:
   std::unordered_map<std::uint64_t, index_t> pair_count_;
   bool pair_set_changed_ = true;
 
-  // Class adjacency CSRs rebuilt from pair_count_ when the distinct
-  // pair set changes (cheap: O(distinct pairs · log)).
-  std::vector<eindex_t> f2c_xadj_, c2f_xadj_;
-  std::vector<index_t> f2c_, c2f_;
+  // Class adjacency rebuilt from pair_count_ when the distinct pair set
+  // changes (cheap: O(distinct pairs · log)).
+  ClassAdjacency adjacency_;
 
   TaskGraph graph_;
   ClassMap classes_;
   PatchStats stats_;
   std::vector<char> dirty_classes_;  ///< scratch, per class
   std::vector<char> dirty_tasks_;
-
-  // Emission scratch, reused across applies.
-  std::vector<Task> scratch_tasks_;
-  std::vector<std::vector<index_t>> scratch_deps_;
-  std::vector<index_t> last_cell_writer_, last_face_writer_;
 };
 
 }  // namespace tamp::taskgraph

@@ -11,10 +11,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mesh/evolve.hpp"
 #include "mesh/generators.hpp"
+#include "partition/reorder.hpp"
 #include "partition/strategy.hpp"
 #include "sim/doctor.hpp"
 #include "sim/simulate.hpp"
@@ -49,10 +51,11 @@ std::vector<part_t> decompose(const mesh::Mesh& m, partition::Strategy s,
 /// so a fingerprint bug can't silently vouch for itself.
 void expect_matches_rebuild(const GraphPatcher& patcher, const mesh::Mesh& m,
                             const std::vector<part_t>& dom, part_t ndomains,
-                            const std::string& context) {
+                            const std::string& context,
+                            const GenerateOptions& opts = {}) {
   ClassMap ref_classes;
   const TaskGraph ref =
-      generate_task_graph(m, dom, ndomains, {}, &ref_classes);
+      generate_task_graph(m, dom, ndomains, opts, &ref_classes);
   EXPECT_EQ(patcher.fingerprint(),
             GraphPatcher::fingerprint(ref, ref_classes))
       << context;
@@ -114,29 +117,56 @@ TEST(PatchProperty, DriftSweepIsBitIdenticalToRebuild) {
                                             partition::Strategy::mc_tl};
   const mesh::TestMeshKind kinds[] = {mesh::TestMeshKind::cylinder,
                                       mesh::TestMeshKind::cube};
+  // Inputs beyond the default build: a locality-renumbered mesh (valid
+  // class ranges to compare) and non-default generate options
+  // (multi-iteration emission, non-unit costs).
+  enum class Input { plain, renumbered, options };
+  const Input inputs[] = {Input::plain, Input::renumbered, Input::options};
+  const char* const input_names[] = {"plain", "renumbered", "options"};
+  GenerateOptions custom;
+  custom.num_iterations = 2;
+  custom.cost = {1.75, 0.3};
   int patched_applies = 0;
+  std::size_t renumbered_ranges = 0;
   for (const auto kind : kinds) {
     for (const auto strategy : strategies) {
-      for (std::uint64_t drift_seed = 1; drift_seed <= 3; ++drift_seed) {
-        mesh::Mesh m = test_mesh(kind, 4000, 7);
-        const auto dom = decompose(m, strategy, 8);
-        GraphPatcher patcher(m, dom, 8);
-        Rng rng(mix_seed(drift_seed, static_cast<std::uint64_t>(strategy)));
-        for (int iter = 0; iter < 3; ++iter) {
-          mesh::evolve_levels(m, 0.01, rng);
-          const PatchStats& st = patcher.apply(m, dom);
-          patched_applies += st.patched ? 1 : 0;
-          const std::string ctx =
-              std::string(mesh::to_string(kind)) + "/" +
-              partition::to_string(strategy) + " seed " +
-              std::to_string(drift_seed) + " iter " + std::to_string(iter);
-          expect_matches_rebuild(patcher, m, dom, 8, ctx);
+      for (const Input input : inputs) {
+        for (std::uint64_t drift_seed = 1; drift_seed <= 3; ++drift_seed) {
+          mesh::Mesh m = test_mesh(kind, 4000, 7);
+          auto dom = decompose(m, strategy, 8);
+          if (input == Input::renumbered) {
+            auto rd = partition::reorder_for_locality(m, dom, 8);
+            m = std::move(rd.mesh);
+            dom = std::move(rd.domain_of_cell);
+          }
+          GraphPatcher::Options popts;
+          if (input == Input::options) popts.generate = custom;
+          GraphPatcher patcher(m, dom, 8, popts);
+          Rng rng(mix_seed(drift_seed, static_cast<std::uint64_t>(strategy)));
+          for (int iter = 0; iter < 3; ++iter) {
+            mesh::evolve_levels(m, 0.01, rng);
+            const PatchStats& st = patcher.apply(m, dom);
+            patched_applies += st.patched ? 1 : 0;
+            const std::string ctx =
+                std::string(mesh::to_string(kind)) + "/" +
+                partition::to_string(strategy) + "/" +
+                input_names[static_cast<int>(input)] + " seed " +
+                std::to_string(drift_seed) + " iter " + std::to_string(iter);
+            expect_matches_rebuild(patcher, m, dom, 8, ctx, popts.generate);
+            if (input != Input::renumbered) continue;
+            for (const auto& r : patcher.classes().cell_range)
+              renumbered_ranges += r.valid() ? 1 : 0;
+            for (const auto& r : patcher.classes().face_range)
+              renumbered_ranges += r.valid() ? 1 : 0;
+          }
         }
       }
     }
   }
-  // The sweep must actually exercise the diff path, not fall back.
-  EXPECT_GT(patched_applies, 20);
+  // The sweep must actually exercise the diff path, not fall back, and
+  // the renumbered input must leave valid ranges to compare.
+  EXPECT_GT(patched_applies, 60);
+  EXPECT_GT(renumbered_ranges, 0U);
 }
 
 TEST(PatchProperty, DoctorOutputIdenticalOnPatchedAndRebuiltGraph) {

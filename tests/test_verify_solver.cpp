@@ -289,6 +289,35 @@ void expect_clean_transport(mesh::Mesh& m, partition::Strategy strategy,
   EXPECT_TRUE(report.clean()) << what << ":\n" << report.summary(iter.graph);
 }
 
+TEST(VerifySolver, EulerPerObjectFluxWritesNoBoundarySide1Slot) {
+  // Boundary-face contract (solver/layout.hpp): nothing gathers the
+  // side-1 slot of a boundary face, so the per-object flux of the
+  // mesh-order path neither deposits nor records a write there.
+  mesh::Mesh m = mesh::make_graded_box_mesh(7, 6, 5, 1.3);
+  EulerSolver s(m);
+  s.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
+  s.assign_temporal_levels();
+  const auto dd = decompose(m, partition::Strategy::mc_tl, 4, 2);
+  const auto iter = s.make_iteration_tasks(dd.domain_of_cell, dd.ndomains);
+  AccessLog log(iter.graph.num_tasks());
+  collect_serial(iter.graph, iter.body, log);
+  std::vector<char> side0(static_cast<std::size_t>(m.num_faces()), 0);
+  std::size_t interior_side1 = 0;
+  for (const Access& a : log.merged()) {
+    if (a.kind == ObjectKind::face_acc_side0)
+      side0[static_cast<std::size_t>(a.object)] = 1;
+    if (a.kind != ObjectKind::face_acc_side1 || a.mode != AccessMode::write)
+      continue;
+    EXPECT_FALSE(m.is_boundary_face(a.object))
+        << "side-1 write on boundary face " << a.object;
+    ++interior_side1;
+  }
+  // Not inert: every face fluxed, interior faces on both sides.
+  for (index_t f = 0; f < m.num_faces(); ++f)
+    ASSERT_EQ(side0[static_cast<std::size_t>(f)], 1) << "face " << f;
+  EXPECT_GT(interior_side1, 0U);
+}
+
 // --- renumbered (locality-layout) path ----------------------------------------
 
 /// Decompose, renumber for locality, and return the bundle; the solver
